@@ -801,13 +801,20 @@ def _scenario_store(monitor: ConcurrencyMonitor):
 
 
 def _scenario_sweep(monitor: ConcurrencyMonitor):
-    """estimate_many fan-out: the shared-cache path under real workers."""
+    """estimate_many fan-out: the shared-cache path under real workers,
+    then racing first reads of the estimates' on-demand timelines."""
+    from concurrent.futures import ThreadPoolExecutor
+
     from ..perf.scaling import Scenario, estimate_many
 
     scenarios = [Scenario(dap_n=1, dp_degree=2, imbalance_enabled=False,
                           ddp_bucket_mb=mb) for mb in (25.0, 50.0)]
     estimates = estimate_many(scenarios, max_workers=2)
     assert len(estimates) == 2
+    with ThreadPoolExecutor(max_workers=2,
+                            thread_name_prefix="conc-timeline") as pool:
+        timelines = list(pool.map(lambda e: e.timeline, estimates * 2))
+    assert timelines[0] is timelines[2] and timelines[1] is timelines[3]
     return None
 
 

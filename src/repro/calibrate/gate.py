@@ -13,7 +13,7 @@ golden tests; this gate re-runs the same contracts on an *arbitrary*
   :func:`compute_cost_arrays` seconds/limiter arrays must equal the
   scalar ``kernel_cost`` result for that record exactly (this is the
   path a calibrated spec's new roofline fields flow through);
-* **end-to-end estimate** — the rank-level DES accepts the spec
+* **end-to-end estimate** — the two-level estimate accepts the spec
   through the registry (``Scenario.gpu`` by name) and returns a
   finite, positive step estimate;
 * **fit quality** — the calibration's residuals are under the

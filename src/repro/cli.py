@@ -400,7 +400,7 @@ def optimize_command(argv: List[str]) -> int:
         print(f"wrote {args.bench_out}")
         for name, sp in bench["delta_speedup"].items():
             note = ("" if sp["gated"]
-                    else ", informational: rank-DES-bound workload")
+                    else ", informational: small-trace workload")
             print(f"  [{name}] cold full {sp['cold_full_s']:.3f}s, "
                   f"single-knob deltas >= {sp['min_speedup']:.1f}x faster "
                   f"(target {sp['target']:.0f}x{note})")

@@ -106,6 +106,24 @@ class PipelineFeed:
         self.queue.get(deliver)
         return event
 
+    def ready_at(self, t: float) -> float:
+        """Fetch one batch at simulated time ``t`` on a feed that owns its
+        simulator; returns the time the batch is handed over (``t`` when
+        one is already queued).
+
+        Events at exactly ``t`` are processed before the fetch, which is
+        what a shared simulator does too unless the fetch and a worker
+        completion land on the same float time (assumed not to happen).
+        """
+        sim = self.sim
+        sim.run(until=t)
+        event = self.get_event()
+        while not event.triggered:
+            if not sim.step():
+                raise RuntimeError("data loader ran dry: no batch left to "
+                                   f"deliver at t={t}")
+        return sim.now
+
 
 def simulate_pipeline(prep_times: Sequence[float], n_workers: int,
                       step_time_s: float, blocking: bool,

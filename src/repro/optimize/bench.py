@@ -41,10 +41,11 @@ DELTA_SPEEDUP_TARGET = 5.0
 
 #: Workloads the delta-speedup gate enforces.  The gate only makes sense
 #: where trace construction dominates a cold estimate (alphafold: ~96% of
-#: ~1.5s).  The transformer trace is tiny and its rank-level DES at
-#: dp=2048 is ~90% of a cold estimate, so caching everything above the
-#: DES is Amdahl-bounded near 1.1x — it is still measured and reported,
-#: just not gated.
+#: ~1.5s).  The transformer trace is tiny, so its whole cold estimate is
+#: ~0.06-0.1s, and a delta still pays the kernel-level step, the loader
+#: stall model and the rank level (~10-25ms): 2.5-3.9x measured over
+#: repeated runs, below the target — it is measured and reported, just
+#: not gated.
 DELTA_GATED_WORKLOADS = ("alphafold",)
 
 #: Rank-stage knobs used for the delta measurement: each flips exactly one

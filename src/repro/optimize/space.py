@@ -13,11 +13,11 @@ stage               knobs          what a delta recomputes
 ``trace``           precision,     the kernel trace itself (meta-build or
                     fusion         disk load), then everything below
 ``partition``       dap_n          DAP partition + shard mask + structure +
-                                   cost arrays + split, then the rank DES
+                                   cost arrays + split, then the rank level
 ``cost``            gpu            the cost segment (seconds/limiters) only;
                                    the trace walk, partition and shard mask
                                    are reused from the caches
-``rank``            batch,         nothing above the rank-level DES: trace,
+``rank``            batch,         nothing above the rank level: trace,
                     cuda_graphs,   partition, structure, cost arrays and
                     gc_disabled,   splits are all served from cache
                     ddp_bucket_mb

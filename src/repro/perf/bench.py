@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -40,7 +39,7 @@ from ..workloads import get_workload, list_workloads
 from .scaling import (Scenario, StepEstimate, clear_estimate_cache,
                       clear_partition_cache, estimate_many,
                       estimate_step_time, optimization_ladder)
-from .step_time import SIM_ENGINE_ENV, StepTimeBreakdown, simulate_step
+from .step_time import StepTimeBreakdown, simulate_step
 from .trace_builder import build_step_trace, clear_cache
 from .vector_cost import clear_cost_cache, trace_cost_arrays
 
@@ -157,18 +156,6 @@ def _bench_step_sim(policy: KernelPolicy, gpu: str) -> Dict[str, object]:
     }
 
 
-def _with_engine(name: str, fn: Callable[[], object]) -> object:
-    previous = os.environ.get(SIM_ENGINE_ENV)
-    os.environ[SIM_ENGINE_ENV] = name
-    try:
-        return fn()
-    finally:
-        if previous is None:
-            os.environ.pop(SIM_ENGINE_ENV, None)
-        else:
-            os.environ[SIM_ENGINE_ENV] = previous
-
-
 def _bench_estimate(gpu: str) -> Dict[str, object]:
     scenario = golden_scenario(gpu)
     estimate_step_time(scenario)       # warm traces, cost arrays, splits
@@ -187,19 +174,19 @@ def _bench_estimate(gpu: str) -> Dict[str, object]:
         clear_estimate_cache()
         clear_partition_cache()
         clear_cost_cache()
-        baseline_s, baseline_est = _with_engine(
-            "event", lambda: _timed(lambda: estimate_step_time(scenario)))
+        baseline_s, baseline_est = _timed(
+            lambda: estimate_step_time(scenario, engine="event"))
     finally:
         store.enabled = was_enabled
 
     # Warm-cache runs of both engines (what sweeps actually pay per call).
     estimate_step_time(scenario)       # re-warm partitions and arrays
     clear_estimate_cache()
-    event_s, event_est = _with_engine(
-        "event", lambda: _timed(lambda: estimate_step_time(scenario)))
+    event_s, event_est = _timed(
+        lambda: estimate_step_time(scenario, engine="event"))
     clear_estimate_cache()
-    fast_s, fast_est = _with_engine(
-        "fast", lambda: _timed(lambda: estimate_step_time(scenario)))
+    fast_s, fast_est = _timed(
+        lambda: estimate_step_time(scenario, engine="fast"))
     speedup = baseline_s / max(fast_s, 1e-12)
     return {
         "scenario": scenario.label(),
@@ -248,11 +235,11 @@ def _bench_workload(name: str, gpu: str, quick: bool) -> Dict[str, object]:
     scenario = Scenario(workload=wl.name, **wl.bench_scenario_kwargs(gpu))
     estimate_step_time(scenario)       # warm traces, partitions, cost arrays
     clear_estimate_cache()
-    est_event_s, est_event = _with_engine(
-        "event", lambda: _timed(lambda: estimate_step_time(scenario)))
+    est_event_s, est_event = _timed(
+        lambda: estimate_step_time(scenario, engine="event"))
     clear_estimate_cache()
-    est_fast_s, est_fast = _with_engine(
-        "fast", lambda: _timed(lambda: estimate_step_time(scenario)))
+    est_fast_s, est_fast = _timed(
+        lambda: estimate_step_time(scenario, engine="fast"))
     est_match = estimates_equal(est_event, est_fast)
 
     return {
@@ -284,7 +271,7 @@ def _bench_incremental(gpu: str) -> Dict[str, object]:
     """Single-knob deltas off the golden scenario — the optimizer's access
     pattern.  A GPU flip must re-price only the cost segment (the trace
     structure and shard mask come from their caches); a GC or bucket flip
-    must re-run only the rank-level DES.  Runs with the disk store
+    must re-run only the rank level.  Runs with the disk store
     bypassed so the cache hits measured here are the in-memory ones the
     hit-rate gates check.
     """

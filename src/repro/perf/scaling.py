@@ -11,27 +11,43 @@ through a two-level discrete-event simulation on
    DAP-partitioned kernel trace, and reports segment marks at every embedded
    collective position and phase boundary;
 2. the **rank level** (:func:`_run_distributed_step`) replays those compute
-   segments as one process per DAP rank inside a shared simulator, with DAP
-   collective bundles at their actual trace positions (barrier + transfer on
-   the comm stream), DDP bucket all-reduces launched at their gradient-ready
-   points on a per-rank NIC resource and overlapped with backward, per-rank
-   data-loader queues (:class:`repro.datapipe.sim_pipeline.PipelineFeed`)
-   whose empty-queue waits surface as stalls, per-rank host-jitter clock
-   offsets, and a world-size straggler gate at the gradient sync.
+   segments on every DAP rank, with DAP collective bundles at their actual
+   trace positions (barrier + transfer on the comm stream), DDP bucket
+   all-reduces launched at their gradient-ready points on a per-rank NIC
+   and overlapped with backward, per-rank data-loader queues
+   (:class:`repro.datapipe.sim_pipeline.PipelineFeed`) whose empty-queue
+   waits surface as stalls, per-rank host-jitter clock offsets, and a
+   world-size straggler gate at the gradient sync.
+
+Both levels have two engines, picked by
+:func:`repro.perf.step_time.resolve_engine`.  At the rank level the event
+engine (:func:`_event_distributed_step`) runs one process per rank in a
+shared simulator and is the oracle; the ``fast`` engine
+(:func:`_fast_distributed_step`) uses that every rank runs the same plan,
+which makes the rank level a max-plus system: ops add to a rank's clock,
+barriers take the max over ranks, DDP buckets are a FIFO recurrence per
+NIC.  It repeats the event engine's float operations in order, so the two
+give bit-identical stats.  The one event ordering they may disagree on, a
+loader worker finishing at exactly the float time its rank fetches, is
+assumed not to happen.
 
 The familiar additive breakdown (``compute + dap_comm + ddp_exposed +
-imbalance``) is *derived* from the simulated timeline by attributing each
-interval of the rank-0 step to the resource that blocked it — overlap is an
-inspectable simulation artifact (``StepEstimate.timeline``), not a
-hand-tuned subtraction.
+imbalance``) partitions the rank-0 step by the resource that occupied or
+blocked it.  The intervals themselves are an inspectable simulation
+artifact: ``StepEstimate.timeline`` records them on first access by
+replaying the run through the event engine, so estimates (and the memo)
+hold numbers, not interval lists.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +69,7 @@ from ..model.config import KernelPolicy
 from ..sim.des import Barrier, Event, Process, Resource, Simulator, Timeline
 from ..workloads import DEFAULT_WORKLOAD, Workload, get_workload
 from .fast_step import sequential_sum
-from .step_time import simulate_step
+from .step_time import resolve_engine, simulate_step
 from .torchcompile import apply_torch_compile
 from .trace_builder import (StepTrace, build_step_trace, trace_is_warm,
                             trace_key, trace_store_material)
@@ -137,13 +153,50 @@ class StepEstimate:
     total_s: float
     kernel_count: int
     stall: StallModel
-    timeline: Optional[Timeline] = None  # per-rank interval attribution
+    #: The full rank-level run's inputs, kept to record its timeline on
+    #: demand (estimates hold numbers, not interval lists).
+    rank_run: Optional["RankRun"] = field(default=None, repr=False,
+                                          compare=False)
+
+    @property
+    def timeline(self) -> Optional[Timeline]:
+        """Per-rank interval attribution of the simulated steps.
+
+        Recorded by the event DES on first access, from the same inputs
+        that produced the numbers, so its intervals do not depend on the
+        engine that estimated them.
+        """
+        return None if self.rank_run is None else self.rank_run.timeline()
 
     def as_dict(self) -> Dict[str, float]:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-               if f.name != "timeline"}
+               if f.name != "rank_run"}
         out["stall"] = dataclasses.asdict(self.stall)
         return out
+
+
+class RankRun:
+    """The arguments of one rank-level run, replayed into a
+    :class:`Timeline` by the event DES the first time it is asked for.
+
+    Safe to share between threads: concurrent first reads record the
+    timeline once, and every reader gets the same object.
+    """
+
+    __slots__ = ("_kwargs", "_timeline", "_lock")
+
+    def __init__(self, **kwargs) -> None:
+        self._kwargs = kwargs
+        self._timeline: Optional[Timeline] = None
+        self._lock = threading.Lock()
+
+    def timeline(self) -> Timeline:
+        with self._lock:
+            if self._timeline is None:
+                timeline = Timeline()
+                _run_distributed_step(timeline=timeline, **self._kwargs)
+                self._timeline = timeline
+            return self._timeline
 
 
 # Shared straggler RNG cache keyed by seed so estimates are deterministic.
@@ -245,6 +298,12 @@ def _build_step_plan(records: Sequence[KernelRecord],
     return plan
 
 
+#: Per-(step, rank) components the rank level reports; every component
+#: but ``total`` is a share of the step, and ``total`` is their sum.
+RANK_STAT_KEYS = ("compute", "dap_comm", "dap_sync", "ddp_wait", "data",
+                  "host", "gate", "total")
+
+
 def _run_distributed_step(plan: List[_PlanOp],
                           n_ranks: int,
                           n_steps: int,
@@ -255,9 +314,251 @@ def _run_distributed_step(plan: List[_PlanOp],
                           data_workers: int = 8,
                           data_queue_capacity: int = 16,
                           blocking_pipeline: bool = True,
-                          timeline: Optional[Timeline] = None
+                          timeline: Optional[Timeline] = None,
+                          engine: Optional[str] = None
                           ) -> Dict[str, np.ndarray]:
     """Simulate ``n_steps`` distributed steps over ``n_ranks`` DAP ranks.
+
+    Returns one ``(n_steps, n_ranks)`` array per :data:`RANK_STAT_KEYS`
+    entry.  ``engine`` (see :func:`resolve_engine`) picks how: ``"fast"``
+    replays the max-plus recurrences in closed form
+    (:func:`_fast_distributed_step`), ``"event"`` runs the rank DES
+    (:func:`_event_distributed_step`); both give bit-identical arrays.
+    Only the event engine records intervals, so passing ``timeline``
+    selects it, and so does a loader that may run dry (no worker, no
+    queue slot, or fewer batches per rank than steps), whose stuck ranks
+    only the DES reproduces.
+    """
+    args = (plan, n_ranks, n_steps, buckets, gate_s, rank_delays,
+            prep_series, data_workers, data_queue_capacity,
+            blocking_pipeline)
+    loader_ok = prep_series is None or (
+        data_workers >= 1 and data_queue_capacity >= 1
+        and len(prep_series) // n_ranks >= n_steps)
+    if timeline is None and loader_ok and resolve_engine(engine) == "fast":
+        return _fast_distributed_step(*args)
+    return _event_distributed_step(*args, timeline=timeline)
+
+
+# Instructions of a compiled rank-step program (see _compile_rank_plan).
+_ADD, _BARRIER, _LAUNCH, _WAIT = range(4)
+
+
+def _compile_rank_plan(plan: Sequence[_PlanOp],
+                       buckets: Sequence[Tuple[float, float]]
+                       ) -> Tuple[List[Tuple[int, tuple]], float, float]:
+    """Flatten a rank-step plan into the fast engine's instruction list.
+
+    Every rank runs the same plan, so which DDP buckets launch at which
+    backward op, and at what offset into it, is decided once here with
+    the event engine's own expressions (the ``1e-15`` readiness slack
+    included).  Instructions: ``_ADD`` advances the clock by each of its
+    seconds in turn, ``_BARRIER`` is a DAP collective's sync,
+    ``_LAUNCH`` starts ``(offset, bucket)`` pairs relative to the clock,
+    and ``_WAIT`` launches the listed buckets now and waits for every
+    launched bucket.  Also returns the per-step compute and DAP-transfer
+    sums, accumulated in plan order as the event engine does.
+    """
+    backward_wall = sum(op.seconds for op in plan
+                        if op.kind == "compute" and op.phase == "backward")
+    update_start: Optional[int] = next(
+        (i for i, op in enumerate(plan) if op.phase == "update"), None)
+    program: List[Tuple[int, tuple]] = []
+    run: List[float] = []
+
+    def flush() -> None:
+        if run:
+            program.append((_ADD, tuple(run)))
+            run.clear()
+
+    compute_s = dap_comm_s = backward_done = 0.0
+    next_bucket = 0
+    for i, op in enumerate(plan):
+        if i == update_start and buckets:
+            flush()
+            program.append((_WAIT, tuple(range(next_bucket, len(buckets)))))
+            next_bucket = len(buckets)
+        if op.kind == "compute":
+            if op.phase == "backward" and buckets:
+                span_end = backward_done + op.seconds
+                launches = []
+                while (next_bucket < len(buckets)
+                       and buckets[next_bucket][0] * backward_wall
+                       <= span_end + 1e-15):
+                    frac = buckets[next_bucket][0]
+                    launches.append((max(frac * backward_wall - backward_done,
+                                         0.0), next_bucket))
+                    next_bucket += 1
+                if launches:
+                    flush()
+                    program.append((_LAUNCH, tuple(launches)))
+            run.append(op.seconds)
+            compute_s += op.seconds
+            if op.phase == "backward":
+                backward_done += op.seconds
+        else:
+            flush()
+            program.append((_BARRIER, ()))
+            run.append(op.seconds)
+            dap_comm_s += op.seconds
+    flush()
+    if update_start is None and buckets:
+        program.append((_WAIT, tuple(range(next_bucket, len(buckets)))))
+    return program, compute_s, dap_comm_s
+
+
+def _nic_finish(launches: List[Tuple[float, int]],
+                bucket_s: Sequence[float]) -> float:
+    """When the last of ``launches`` (``(time, bucket)`` in spawn order)
+    leaves one rank's FIFO NIC: grants go in launch-time order, ties in
+    spawn order, and ``finish = max(launch, previous finish) + seconds``.
+    """
+    free = -math.inf
+    for launch, bucket in sorted(launches, key=itemgetter(0)):
+        free = max(launch, free) + bucket_s[bucket]
+    return free
+
+
+def _fast_distributed_step(plan: List[_PlanOp],
+                           n_ranks: int,
+                           n_steps: int,
+                           buckets: List[Tuple[float, float]],
+                           gate_s: float,
+                           rank_delays: Optional[np.ndarray],
+                           prep_series: Optional[np.ndarray],
+                           data_workers: int,
+                           data_queue_capacity: int,
+                           blocking_pipeline: bool
+                           ) -> Dict[str, np.ndarray]:
+    """The closed-form engine of the rank level.
+
+    The rank level is a max-plus system: ranks differ only in loader
+    waits and host jitter at the top of a step, a DAP collective or the
+    end-of-step barrier sets every clock to the max over ranks, and DDP
+    buckets queue FIFO on each rank's NIC.  So the engine keeps one clock
+    per rank only while they differ and a single scalar once a barrier
+    has equalized them, replaying every float operation of
+    :func:`_event_distributed_step` in the same order: ``t + s`` per op,
+    ``max - t`` sync waits, ``(t + d) - t`` jitter.  Each rank's loader
+    is the same :class:`PipelineFeed` on a private simulator, advanced
+    to the step start before each fetch.
+    """
+    program, compute_s, dap_comm_s = _compile_rank_plan(plan, buckets)
+    bucket_s = [seconds for _frac, seconds in buckets]
+    feeds: Optional[List[PipelineFeed]] = None
+    if prep_series is not None:
+        feeds = [PipelineFeed(Simulator(), prep_series[r::n_ranks],
+                              data_workers, blocking=blocking_pipeline,
+                              queue_capacity=data_queue_capacity)
+                 for r in range(n_ranks)]
+    ranks = range(n_ranks)
+    stats = {k: np.zeros((n_steps, n_ranks)) for k in RANK_STAT_KEYS}
+    start = 0.0
+    for step in range(n_steps):
+        data = [0.0] * n_ranks
+        host = [0.0] * n_ranks
+        sync = [0.0] * n_ranks
+        ddp = [0.0] * n_ranks
+        clocks = [start] * n_ranks
+        if feeds is not None:
+            for r in ranks:
+                clocks[r] = feeds[r].ready_at(start)
+                data[r] = clocks[r] - start
+        if rank_delays is not None:
+            for r in ranks:
+                delay = float(rank_delays[step, r])
+                if delay > 0.0:
+                    t0 = clocks[r]
+                    clocks[r] = t0 + delay
+                    host[r] = clocks[r] - t0
+        t = clocks[0]
+        # ``uniform``: every rank's clock is ``t`` (``clocks`` is stale);
+        # ``split``: some bucket launched while the clocks differed.
+        uniform = all(c == t for c in clocks)
+        split = False
+        launched: List[Tuple[object, int]] = []
+        for code, arg in program:
+            if code == _ADD:
+                if uniform:
+                    for seconds in arg:
+                        t += seconds
+                else:
+                    for r in ranks:
+                        c = clocks[r]
+                        for seconds in arg:
+                            c += seconds
+                        clocks[r] = c
+            elif code == _BARRIER:
+                if not uniform:
+                    t = max(clocks)
+                    for r in ranks:
+                        sync[r] += t - clocks[r]
+                    uniform = True
+            elif code == _LAUNCH:
+                if uniform:
+                    launched.extend((t + off, b) for off, b in arg)
+                else:
+                    split = True
+                    launched.extend(([c + off for c in clocks], b)
+                                    for off, b in arg)
+            elif uniform and not split:
+                finish = _nic_finish(launched + [(t, b) for b in arg],
+                                     bucket_s)
+                if finish > t:
+                    for r in ranks:
+                        ddp[r] += finish - t
+                    t = finish
+            else:
+                if uniform:
+                    clocks = [t] * n_ranks
+                for r in ranks:
+                    c = clocks[r]
+                    mine = [(when if isinstance(when, float) else when[r], b)
+                            for when, b in launched]
+                    finish = _nic_finish(mine + [(c, b) for b in arg],
+                                         bucket_s)
+                    if finish > c:
+                        ddp[r] += finish - c
+                        clocks[r] = finish
+                uniform = False
+        # World-size straggler gate behind the end-of-step barrier.
+        extra = 0.0
+        for r in ranks:
+            extra = max(extra, data[r] + host[r])
+        if not uniform:
+            t = max(clocks)
+            for r in ranks:
+                sync[r] += t - clocks[r]
+        gate = 0.0
+        if gate_s > 0.0:
+            wait = gate_s - extra
+            if wait > 0.0:
+                t0 = t
+                t = t0 + wait
+                gate = t - t0
+        start = t
+        for r in ranks:
+            row = (compute_s, dap_comm_s, sync[r], ddp[r], data[r], host[r],
+                   gate)
+            for key, value in zip(RANK_STAT_KEYS, row):
+                stats[key][step, r] = value
+            stats["total"][step, r] = sum(row)
+    return stats
+
+
+def _event_distributed_step(plan: List[_PlanOp],
+                            n_ranks: int,
+                            n_steps: int,
+                            buckets: List[Tuple[float, float]],
+                            gate_s: float = 0.0,
+                            rank_delays: Optional[np.ndarray] = None,
+                            prep_series: Optional[np.ndarray] = None,
+                            data_workers: int = 8,
+                            data_queue_capacity: int = 16,
+                            blocking_pipeline: bool = True,
+                            timeline: Optional[Timeline] = None
+                            ) -> Dict[str, np.ndarray]:
+    """The event engine of the rank level (and its oracle).
 
     Every rank is one process; all waiting happens on simulator events
     (barriers, queue gets, resource grants), and every simulated second of
@@ -271,16 +572,15 @@ def _run_distributed_step(plan: List[_PlanOp],
     update_start: Optional[int] = next(
         (i for i, op in enumerate(plan) if op.phase == "update"), None)
 
-    keys = ("compute", "dap_comm", "dap_sync", "ddp_wait", "data", "host",
-            "gate", "total")
+    keys = RANK_STAT_KEYS
     stats = {k: np.zeros((n_steps, n_ranks)) for k in keys}
     step_extra: Dict[int, float] = {}
 
     feeds: List[Optional[PipelineFeed]] = [None] * n_ranks
     if prep_series is not None:
         feeds = [PipelineFeed(sim, prep_series[r::n_ranks], data_workers,
-                              blocking=blocking_pipeline,
-                              queue_capacity=data_queue_capacity)
+                                blocking=blocking_pipeline,
+                                queue_capacity=data_queue_capacity)
                  for r in range(n_ranks)]
 
     def spawn_bucket(nic: Resource, seconds: float, offset: float,
@@ -297,7 +597,7 @@ def _run_distributed_step(plan: List[_PlanOp],
             finished.succeed(None)
 
         sim.schedule(offset, lambda: Process(sim, bucket_proc(),
-                                             name=f"ddp-bucket-r{rank}"))
+                                               name=f"ddp-bucket-r{rank}"))
         return finished
 
     def rank_proc(rank: int):
@@ -332,7 +632,7 @@ def _run_distributed_step(plan: List[_PlanOp],
                     # backward could not hide is the exposed DDP cost.
                     while next_bucket < len(buckets):
                         bucket_events.append(spawn_bucket(
-                            nic, buckets[next_bucket][1], 0.0, rank))
+                              nic, buckets[next_bucket][1], 0.0, rank))
                         next_bucket += 1
                     t0 = sim.now
                     for ev in bucket_events:
@@ -346,14 +646,14 @@ def _run_distributed_step(plan: List[_PlanOp],
                         # inside this span, at its ready offset.
                         span_end = backward_done + op.seconds
                         while (next_bucket < len(buckets)
-                               and buckets[next_bucket][0] * backward_wall
-                               <= span_end + 1e-15):
-                            frac, secs = buckets[next_bucket]
-                            offset = max(frac * backward_wall - backward_done,
-                                         0.0)
-                            bucket_events.append(
-                                spawn_bucket(nic, secs, offset, rank))
-                            next_bucket += 1
+                                 and buckets[next_bucket][0] * backward_wall
+                                 <= span_end + 1e-15):
+                              frac, secs = buckets[next_bucket]
+                              offset = max(frac * backward_wall - backward_done,
+                                           0.0)
+                              bucket_events.append(
+                                  spawn_bucket(nic, secs, offset, rank))
+                              next_bucket += 1
                     t0 = sim.now
                     yield op.seconds
                     acc["compute"] += op.seconds
@@ -415,17 +715,19 @@ def _policy_signature(policy: KernelPolicy) -> Tuple:
     return tuple(out)
 
 
-def _scenario_key(scenario: Scenario) -> Tuple:
+def _scenario_key(scenario: Scenario, engine: Optional[str] = None) -> Tuple:
     # The registry token pins the key to the *current* spec registered
     # under the name: re-registering a calibrated spec bumps the epoch,
     # so estimates computed against the replaced spec can't be replayed.
+    # The resolved engine keeps an event-engine check from being served
+    # a fast-engine memo (and the reverse).
     return (scenario.workload, _policy_signature(scenario.policy),
             scenario.gpu, registry_token(scenario.gpu), scenario.dap_n,
             scenario.dp_degree, scenario.cuda_graphs, scenario.gc_disabled,
             scenario.torch_compile, scenario.nonblocking_pipeline,
             scenario.data_workers, scenario.data_queue_capacity,
             scenario.n_recycle, scenario.imbalance_enabled, scenario.seed,
-            scenario.ddp_bucket_mb)
+            scenario.ddp_bucket_mb, resolve_engine(engine))
 
 
 _ESTIMATE_CACHE = register_cache(LruCache(capacity=256, name="step-estimates"))
@@ -454,11 +756,18 @@ def clear_partition_cache() -> None:
 
 def estimate_step_time(scenario: Scenario,
                        trace: Optional[StepTrace] = None,
-                       topo: Optional[ClusterTopology] = None) -> StepEstimate:
-    """Simulate one scenario's expected step time (two-level DES)."""
+                       topo: Optional[ClusterTopology] = None,
+                       engine: Optional[str] = None) -> StepEstimate:
+    """Simulate one scenario's expected step time (two-level DES).
+
+    ``engine`` (``"fast"``/``"event"``, default from
+    :func:`resolve_engine`) is resolved once and used by both levels;
+    the two engines give bit-identical estimates.
+    """
+    engine = resolve_engine(engine)
     cacheable = trace is None and topo is None
     if cacheable:
-        key = _scenario_key(scenario)
+        key = _scenario_key(scenario, engine)
         cached = _ESTIMATE_CACHE.get(key)
         if cached is not None:
             return cached
@@ -520,7 +829,7 @@ def estimate_step_time(scenario: Scenario,
     breakdown = simulate_step(records, gpu, cost,
                               graphed=scenario.cuda_graphs,
                               segment_marks=costs.default_marks,
-                              costs=costs)
+                              costs=costs, engine=engine)
     plan = _build_step_plan(records, breakdown.segments, topo)
     serial_s, parallel_s = _split_serial_parallel(
         DapStepTrace(records=records, comm_events=comm_events,
@@ -537,7 +846,7 @@ def estimate_step_time(scenario: Scenario,
     # whose emergent step time is the trainer's service rate for the data
     # pipeline model ---
     dry = _run_distributed_step(plan, scenario.dap_n, n_steps=2,
-                                buckets=buckets)
+                                buckets=buckets, engine=engine)
     nominal_step = float(dry["total"][-1, 0])
 
     prep = _prep_times(wl, seed=5, n=768)
@@ -578,15 +887,14 @@ def estimate_step_time(scenario: Scenario,
             scenario.dap_n, n_steps)
         prep_series = prep
 
-    # --- rank level, full run ---
-    timeline = Timeline()
-    stats = _run_distributed_step(
-        plan, scenario.dap_n, n_steps=n_steps, buckets=buckets,
+    # --- rank level, full run (its timeline is recorded on demand) ---
+    rank_args = dict(
+        plan=plan, n_ranks=scenario.dap_n, n_steps=n_steps, buckets=buckets,
         gate_s=gate, rank_delays=rank_delays, prep_series=prep_series,
         data_workers=scenario.data_workers,
         data_queue_capacity=scenario.data_queue_capacity,
-        blocking_pipeline=not scenario.nonblocking_pipeline,
-        timeline=timeline)
+        blocking_pipeline=not scenario.nonblocking_pipeline)
+    stats = _run_distributed_step(engine=engine, **rank_args)
 
     window = slice(N_WARMUP_STEPS, None)
 
@@ -611,7 +919,7 @@ def estimate_step_time(scenario: Scenario,
         total_s=total,
         kernel_count=breakdown.kernel_count,
         stall=stall,
-        timeline=timeline,
+        rank_run=RankRun(**rank_args),
     )
     if cacheable:
         _ESTIMATE_CACHE.put(key, estimate)
@@ -627,7 +935,7 @@ def estimate_many(scenarios: Sequence[Scenario],
     (policy, DAP, GPU) combination is costed once no matter how many
     scenarios sweep over it.  Shared inputs (traces and cost arrays) are
     pre-warmed serially to keep concurrent misses from duplicating the
-    expensive meta-build.  The rank-level DES is pure Python, so the win
+    expensive meta-build.  The rank level is pure Python, so the win
     comes from overlapping the numpy/cost phases; workers default to a
     modest pool.
     """

@@ -140,6 +140,19 @@ class Simulator:
         if until is not None:
             self.now = max(self.now, until)
 
+    def step(self) -> bool:
+        """Process the single next pending event; False when none is left.
+
+        For callers that drive the loop until a condition holds (an event
+        firing) rather than up to a time.
+        """
+        if not self._heap:
+            return False
+        time, _seq, callback = heapq.heappop(self._heap)
+        self.now = time
+        callback()
+        return True
+
     def process(self, generator: Generator, name: str = "") -> "Process":
         """Start a :class:`Process` driving ``generator`` (begins at ``now``)."""
         return Process(self, generator, name=name)

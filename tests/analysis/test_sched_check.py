@@ -257,3 +257,25 @@ class TestRealWorkloads:
         from repro.analysis import lint_sched_for
 
         assert lint_sched_for("tiny") == []
+
+    def test_rank_level_des_is_audited(self, monkeypatch):
+        # The estimate path defaults to the closed-form rank engine, which
+        # has no barrier or NIC to audit; the lint must still record the
+        # rank DES's events, or it would pass on an empty schedule.
+        import repro.analysis.runner as runner
+        from repro.analysis import lint_sched_for
+
+        seen = []
+        real = runner.analyze_schedule
+
+        def capture(events, **kwargs):
+            seen.extend(events)
+            return real(events, **kwargs)
+
+        monkeypatch.setattr(runner, "analyze_schedule", capture)
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+        assert lint_sched_for("tiny") == []
+        assert any(e.kind == "barrier_arrive" and e.obj == "dap-sync"
+                   for e in seen)
+        assert any(e.kind == "acquire_request" and e.obj.startswith("nic-")
+                   for e in seen)
