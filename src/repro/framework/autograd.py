@@ -101,6 +101,13 @@ def _topological_order(root: Tensor) -> List[Tensor]:
     return order
 
 
+def release_graph(root: Tensor) -> None:
+    """Drop the nodes of ``root``'s graph so it is freed by reference
+    counting (backward closures hold their outputs, a cycle otherwise)."""
+    for tensor in _topological_order(root):
+        tensor.node = None
+
+
 def backward(root: Tensor, grad: Optional[Tensor] = None) -> None:
     """Populate ``.grad`` on every reachable leaf with ``requires_grad``.
 

@@ -71,6 +71,7 @@ _BY_NAME = {
 
 #: Promotion order for mixed-dtype arithmetic: widest wins.
 _PROMOTION_ORDER = [bool_, int32, int64, float16, bfloat16, tfloat32, float32, float64]
+_RANK = {d: i for i, d in enumerate(_PROMOTION_ORDER)}
 
 
 def as_dtype(value) -> DType:
@@ -102,11 +103,7 @@ def promote(*dtypes: DType) -> DType:
     """Result dtype of an arithmetic op over operands of ``dtypes``."""
     if not dtypes:
         raise ValueError("promote() requires at least one dtype")
-    best = dtypes[0]
-    for d in dtypes[1:]:
-        if _PROMOTION_ORDER.index(d) > _PROMOTION_ORDER.index(best):
-            best = d
-    return best
+    return max(dtypes, key=_RANK.__getitem__)
 
 
 def quantize(array: np.ndarray, dtype: DType) -> np.ndarray:

@@ -137,7 +137,8 @@ def ones_like(t: Tensor) -> Tensor:
 
 def _binary(name: str, a, b, np_fn, grad_fn, flops_per_elem: float = 1.0) -> Tensor:
     a, b = _coerce_pair(a, b)
-    out_shape = np.broadcast_shapes(a.shape, b.shape)
+    out_shape = (a.shape if a.shape == b.shape
+                 else np.broadcast_shapes(a.shape, b.shape))
     out_dtype = dtypes.promote(a.dtype, b.dtype)
     data = None if (a.is_meta or b.is_meta) else np_fn(a.data, b.data)
     out = _make_out(data, out_shape, out_dtype)
@@ -211,7 +212,8 @@ def minimum(a, b) -> Tensor:
 
 def _compare(name: str, a, b, np_fn) -> Tensor:
     a, b = _coerce_pair(a, b)
-    out_shape = np.broadcast_shapes(a.shape, b.shape)
+    out_shape = (a.shape if a.shape == b.shape
+                 else np.broadcast_shapes(a.shape, b.shape))
     data = None if (a.is_meta or b.is_meta) else np_fn(a.data, b.data)
     out = _make_out(data, out_shape, dtypes.bool_)
     _emit(name, tracer.KernelCategory.MEMORY, out, [a, b], out.size)
@@ -509,7 +511,8 @@ def _matmul_out_shape(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]
         raise ValueError(f"matmul needs >=2-d operands, got {a} @ {b}")
     if a[-1] != b[-2]:
         raise ValueError(f"matmul inner-dim mismatch: {a} @ {b}")
-    batch = np.broadcast_shapes(a[:-2], b[:-2])
+    batch = (a[:-2] if a[:-2] == b[:-2]
+             else np.broadcast_shapes(a[:-2], b[:-2]))
     return tuple(batch) + (a[-2], b[-1])
 
 
@@ -571,7 +574,7 @@ def permute(t: Tensor, axes: Sequence[int]) -> Tensor:
     data = None if t.is_meta else np.ascontiguousarray(np.transpose(t.data, axes))
     out = Tensor(data, out_shape, t.dtype)
     _emit("permute", tracer.KernelCategory.MEMORY_OP, out, [t], 0.0)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return autograd.attach(out, "permute", [t], lambda g: (permute(g, inverse),))
 
 

@@ -10,6 +10,7 @@ the fused ScaleFold kernels match the reference math.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -42,7 +43,7 @@ class Tensor:
             if shape is None or dtype is None:
                 raise ValueError("meta tensors need explicit shape and dtype")
         self._data = data
-        self.shape: Tuple[int, ...] = tuple(int(s) for s in shape)
+        self.shape: Tuple[int, ...] = tuple(map(int, shape))
         self.dtype: DType = dtype
         self.requires_grad = requires_grad
         self.grad: Optional["Tensor"] = None
@@ -62,10 +63,7 @@ class Tensor:
 
     @property
     def size(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:

@@ -8,12 +8,13 @@ Two layers live here:
 
 * **Flat format** (:func:`dump_trace` / :func:`load_trace`): JSON-lines,
   gzip-compressed for ``.gz`` paths.  Format v2 deduplicates identical
-  kernel records — a 157k-kernel step trace has only a few thousand
-  distinct (name, flops, bytes, shape, scope, ...) rows, so v2 files are
-  much smaller and load much faster (the loader *shares* one
-  :class:`KernelRecord` object across identical positions, which is safe
-  because records are immutable by convention — every transform in the
-  codebase copies via :meth:`KernelRecord.scaled`).  v1 files still load.
+  kernel records — the full AlphaFold step's 54k kernels have ~25k
+  distinct (name, flops, bytes, shape, scope, ...) rows (per-block scopes
+  keep most apart), so v2 files are smaller and load faster (the loader
+  *shares* one :class:`KernelRecord` object across identical positions,
+  which is safe because records are immutable by convention — every
+  transform in the codebase copies via :meth:`KernelRecord.scaled`).
+  v1 files still load.
 * **Content-addressed cache** (:class:`TraceCacheStore`): a directory of
   traces and numpy cost arrays keyed by the SHA-256 of caller-provided key
   material (the trace builder uses its ``_cfg_key``/``_policy_key``
@@ -29,6 +30,7 @@ import gzip
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import threading
@@ -37,6 +39,8 @@ from typing import IO, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .tracer import KernelCategory, KernelRecord, Trace
+
+_json_str = json.encoder.encode_basestring_ascii
 
 #: v1 = one JSON object per record; v2 = deduplicated rows + index array.
 FORMAT_VERSION = 2
@@ -62,6 +66,32 @@ def _record_to_dict(record: KernelRecord) -> dict:
         "tunable": record.tunable,
         "tags": record.tags,
     }
+
+
+def _record_line(record: KernelRecord) -> str:
+    """``json.dumps(_record_to_dict(record))``, spelled out for the field
+    types the tracer emits (a full step trace has ~25k distinct rows, and
+    the generic encoder is most of the cost of a store write); any other
+    record goes through ``json.dumps``."""
+    name, dtype, scope, phase, tunable = (record.name, record.dtype,
+                                          record.scope, record.phase,
+                                          record.tunable)
+    flops, nbytes, shape = record.flops, record.bytes, record.shape
+    if not (record.tags is None and type(flops) is float
+            and type(nbytes) is float and math.isfinite(flops + nbytes)
+            and type(record.fused) is bool and type(name) is str
+            and type(dtype) is str and type(scope) is str
+            and type(phase) is str and {*map(type, shape)} <= {int}
+            and (tunable is None or type(tunable) is str)):
+        return json.dumps(_record_to_dict(record))
+    tunable = "null" if tunable is None else _json_str(tunable)
+    return (f'{{"name": {_json_str(name)}, "category": '
+            f'"{record.category.name}", "flops": {flops!r}, '
+            f'"bytes": {nbytes!r}, "shape": [{", ".join(map(str, shape))}], '
+            f'"dtype": {_json_str(dtype)}, "scope": {_json_str(scope)}, '
+            f'"fused": {"true" if record.fused else "false"}, '
+            f'"phase": {_json_str(phase)}, "tunable": {tunable}, '
+            f'"tags": null}}')
 
 
 def _record_from_dict(data: dict) -> KernelRecord:
@@ -99,7 +129,7 @@ def dump_trace(trace: Trace, target: Union[str, IO[str]],
         row_of: Dict[str, int] = {}
         index: List[int] = []
         for record in trace.records:
-            line = json.dumps(_record_to_dict(record))
+            line = _record_line(record)
             slot = row_of.get(line)
             if slot is None:
                 slot = len(rows)

@@ -108,7 +108,8 @@ class Trace:
     def __init__(self, name: str = "trace") -> None:
         self.name = name
         self.records: List[KernelRecord] = []
-        self._scope_stack: List[str] = []
+        #: The ``/``-joined module path of the records being emitted.
+        self._scope = ""
         self._phase_stack: List[str] = ["forward"]
 
     # ------------------------------------------------------------------
@@ -137,9 +138,9 @@ class Trace:
             category=category,
             flops=flops,
             bytes=bytes_moved,
-            shape=tuple(int(s) for s in shape),
+            shape=tuple(map(int, shape)),
             dtype=dtype,
-            scope="/".join(self._scope_stack),
+            scope=self._scope,
             fused=fused,
             phase=self._phase_stack[-1],
             tunable=tunable,
@@ -163,11 +164,12 @@ class Trace:
             raise ValueError(
                 f"invalid scope component {name!r}: must be non-empty and "
                 f"must not contain '/' (nest scope() calls instead)")
-        self._scope_stack.append(name)
+        outer = self._scope
+        self._scope = f"{outer}/{name}" if outer else name
         try:
             yield
         finally:
-            self._scope_stack.pop()
+            self._scope = outer
 
     @contextlib.contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -187,7 +189,7 @@ class Trace:
 
     @property
     def current_scope(self) -> str:
-        return "/".join(self._scope_stack)
+        return self._scope
 
     @property
     def current_phase(self) -> str:
@@ -377,9 +379,9 @@ def absolute_scope(path: str) -> Iterator[None]:
     if t is None:
         yield
         return
-    saved = t._scope_stack
-    t._scope_stack = path.split("/") if path else []
+    saved = t._scope
+    t._scope = path
     try:
         yield
     finally:
-        t._scope_stack = saved
+        t._scope = saved

@@ -14,13 +14,13 @@ stage               knobs          what a delta recomputes
                     fusion         disk load), then everything below
 ``partition``       dap_n          DAP partition + shard mask + structure +
                                    cost arrays + split, then the rank level
-``cost``            gpu            the cost segment (seconds/limiters) only;
-                                   the trace walk, partition and shard mask
-                                   are reused from the caches
-``rank``            batch,         nothing above the rank level: trace,
-                    cuda_graphs,   partition, structure, cost arrays and
-                    gc_disabled,   splits are all served from cache
-                    ddp_bucket_mb
+``cost``            gpu            the cost segment (seconds/limiters) and
+                                   the split; the trace walk and the
+                                   partition with its shard mask are reused
+``rank``            batch,         the split (two masked sums) and the rank
+                    cuda_graphs,   level: trace, partition, shard mask,
+                    gc_disabled,   structure and cost arrays are all served
+                    ddp_bucket_mb  from cache
 ==================  =============  ==========================================
 
 A *point* is a plain ``{knob name: value}`` dict; :func:`apply_point` turns

@@ -30,7 +30,8 @@ import json
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..framework.caching import cache_registry, reset_registry_stats
+from ..framework.caching import (CacheStats, cache_registry,
+                                 reset_registry_stats)
 from ..framework.trace_io import default_store
 from ..hardware.gpu import get_gpu
 from ..hardware.roofline import CostModel
@@ -55,22 +56,20 @@ QUICK_LADDER_RUNGS = 3
 #: Minimum hit rate per registered cache over one bench session (stats are
 #: reset at session start).  Only gated when the cache saw at least
 #: :data:`CACHE_GATE_MIN_LOOKUPS` lookups, so an unexercised cache can
-#: never fail.  Values sit below the measured rates with margin (quick /
-#: full: step-traces 0.73/0.66, cost-arrays 0.59/0.56, dap-partitions
-#: 0.65/0.58, serial-split 0.59/0.56); a capacity regression (re-evicting
-#: what a sweep re-uses) drops the measured rate well under these floors.
-#: The structure and shard-mask caches are long-tail by design — they are
-#: consulted only on fresh cost/split builds and hit only when a records
-#: stream is re-priced for a second GPU (measured 0.17/0.33 and
-#: 0.08/0.14), so their floors just assert the GPU-flip reuse happens
-#: at all.
+#: never fail; a threshold naming a cache that is not registered fails.
+#: Values sit below the measured rates with margin (quick / full:
+#: step-traces 0.73/0.66, cost-arrays 0.59/0.56, dap-partitions
+#: 0.65/0.58); a capacity regression (re-evicting what a sweep re-uses)
+#: drops the measured rate well under these floors.  The structure cache
+#: is long-tail by design — it is consulted only on fresh cost builds and
+#: hits only when a records stream is re-priced for a second GPU
+#: (measured 0.17/0.33), so its floor just asserts the GPU-flip reuse
+#: happens at all.
 CACHE_HIT_THRESHOLDS: Dict[str, float] = {
     "step-traces": 0.50,
     "cost-arrays": 0.40,
     "trace-structures": 0.10,
     "dap-partitions": 0.40,
-    "serial-split": 0.40,
-    "shard-masks": 0.05,
 }
 
 #: Below this many lookups a hit rate is noise, not a signal.
@@ -270,10 +269,10 @@ def _bench_workload(name: str, gpu: str, quick: bool) -> Dict[str, object]:
 def _bench_incremental(gpu: str) -> Dict[str, object]:
     """Single-knob deltas off the golden scenario — the optimizer's access
     pattern.  A GPU flip must re-price only the cost segment (the trace
-    structure and shard mask come from their caches); a GC or bucket flip
-    must re-run only the rank level.  Runs with the disk store
-    bypassed so the cache hits measured here are the in-memory ones the
-    hit-rate gates check.
+    structure and the partition with its shard mask come from their
+    caches); a GC or bucket flip must re-run only the rank level.  Runs
+    with the disk store bypassed so the cache hits measured here are the
+    in-memory ones the hit-rate gates check.
     """
     base = golden_scenario(gpu)
     other_gpu = "A100" if gpu != "A100" else "H100"
@@ -316,20 +315,26 @@ def _bench_ladder(gpu: str, quick: bool) -> Dict[str, object]:
 
 
 def cache_gate_report() -> Dict[str, object]:
-    """Per-cache hit-rate gates over the current registry counters."""
+    """Per-cache hit-rate gates over the current registry counters.
+
+    A threshold naming a cache that is not registered is a failed gate,
+    so a renamed or deleted cache cannot drop out of the gates unnoticed.
+    """
+    registry = cache_registry()
     gates: Dict[str, object] = {}
     ok = True
-    for name, stats in sorted(cache_registry().items()):
-        threshold = CACHE_HIT_THRESHOLDS.get(name)
-        if threshold is None:
-            continue
+    for name, threshold in sorted(CACHE_HIT_THRESHOLDS.items()):
+        registered = name in registry
+        stats = registry.get(name, CacheStats())
         applicable = stats.lookups >= CACHE_GATE_MIN_LOOKUPS
-        passed = (not applicable) or stats.hit_rate >= threshold
+        passed = registered and (
+            not applicable or stats.hit_rate >= threshold)
         gates[name] = {
             "hit_rate": stats.hit_rate,
             "lookups": stats.lookups,
             "evictions": stats.evictions,
             "threshold": threshold,
+            "registered": registered,
             "applicable": applicable,
             "ok": passed,
         }
@@ -418,7 +423,8 @@ def format_bench(report: Dict[str, object]) -> str:
         cg = report["cache_gates"]
         gated = [f"{name} {row['hit_rate']:.2f}/{row['threshold']:.2f}"
                  + ("" if row["ok"] else " FAIL")
-                 for name, row in cg["gates"].items() if row["applicable"]]
+                 for name, row in cg["gates"].items()
+                 if row["applicable"] or not row["ok"]]
         lines.append("cache gates: " + (", ".join(gated) or "none applicable")
                      + f" -> ok={cg['ok']}")
     store = report["disk_store"]

@@ -54,16 +54,15 @@ import numpy as np
 
 from ..datapipe.sim_pipeline import PipelineFeed, StallModel, stall_model
 from ..distributed.collectives import collective_time
-from ..distributed.dap import (SHARDABLE_SCOPES, DapStepTrace, is_shardable,
-                               partition_step)
-from ..distributed.ddp import DdpConfig, bucket_schedule, ddp_cost
+from ..distributed.dap import is_shardable, partition_step
+from ..distributed.ddp import DdpConfig, bucket_schedule
 from ..distributed.straggler import ImbalanceInputs, StragglerModel
 from ..distributed.topology import ClusterTopology
 from ..framework.caching import LruCache, register_cache
 from ..framework.dtypes import bfloat16
 from ..framework.tracer import KernelCategory, KernelRecord
 from ..hardware.cpu import CpuJitterConfig
-from ..hardware.gpu import GpuSpec, get_gpu, registry_token
+from ..hardware.gpu import get_gpu, registry_token
 from ..hardware.roofline import CostModel
 from ..model.config import KernelPolicy
 from ..sim.des import Barrier, Event, Process, Resource, Simulator, Timeline
@@ -71,8 +70,8 @@ from ..workloads import DEFAULT_WORKLOAD, Workload, get_workload
 from .fast_step import sequential_sum
 from .step_time import resolve_engine, simulate_step
 from .torchcompile import apply_torch_compile
-from .trace_builder import (StepTrace, build_step_trace, trace_is_warm,
-                            trace_key, trace_store_material)
+from .trace_builder import (StepTrace, _policy_key, build_step_trace,
+                            trace_is_warm, trace_key)
 from .vector_cost import (TraceCostArrays, cost_cache_material,
                           trace_cost_arrays)
 
@@ -209,60 +208,18 @@ def _prep_times(workload: Workload, seed: int = 5, n: int = 1024) -> np.ndarray:
         lambda: workload.prep_time_series(seed=seed, n=n))
 
 
-#: Serial/parallel device-time splits are pure functions of the cost-array
-#: key, so they are memoized alongside the arrays.
-_SPLIT_CACHE = register_cache(LruCache(capacity=64, name="serial-split"))
+def _split_serial_parallel(costs: TraceCostArrays,
+                           shardable: np.ndarray) -> Tuple[float, float]:
+    """Device seconds outside and inside DAP-shardable scopes.
 
-#: The shardability mask is GPU-independent (a pure function of the
-#: partitioned records and the workload's scopes), so it is cached under
-#: the records identity alone: a GPU change re-does two masked cumsums,
-#: not the ~150k-call ``is_shardable`` walk.
-_SHARD_MASK_CACHE = register_cache(LruCache(capacity=32, name="shard-masks"))
-
-
-def _split_serial_parallel(dap: DapStepTrace, cost: CostModel,
-                           costs: Optional[TraceCostArrays] = None,
-                           cache_key: Optional[Tuple] = None,
-                           scopes: Tuple[str, ...] = SHARDABLE_SCOPES,
-                           mask_key: Optional[Tuple] = None
-                           ) -> Tuple[float, float]:
-    if costs is not None:
-        if cache_key is not None:
-            hit = _SPLIT_CACHE.get(cache_key)
-            if hit is not None:
-                return hit
-
-        # Masked sequential sums over the precomputed per-kernel seconds:
-        # np.cumsum adds left to right, so each total is bit-identical to
-        # the scalar accumulation over the same subsequence.
-        def build_mask() -> np.ndarray:
-            recs = dap.records
-            return np.fromiter(
-                (is_shardable(recs[i], scopes)
-                 for i in costs.exec_idx.tolist()),
-                dtype=bool, count=costs.m)
-
-        if mask_key is not None:
-            shardable = _SHARD_MASK_CACHE.get_or_create(mask_key, build_mask)
-        else:
-            shardable = build_mask()
-        result = (sequential_sum(costs.seconds[~shardable]),
-                  sequential_sum(costs.seconds[shardable]))
-        if cache_key is not None:
-            _SPLIT_CACHE.put(cache_key, result)
-        return result
-    serial = parallel = 0.0
-    for r in dap.records:
-        if r.category is KernelCategory.COMM:
-            continue
-        if r.tags and r.tags.get("hidden_by_comm"):
-            continue
-        t = cost.kernel_seconds(r)
-        if is_shardable(r, scopes):
-            parallel += t
-        else:
-            serial += t
-    return serial, parallel
+    ``shardable`` masks the full record list.  Masked sequential sums over
+    the precomputed per-kernel seconds: np.cumsum adds left to right, so
+    each total is bit-identical to the scalar accumulation over the same
+    subsequence.
+    """
+    mask = shardable[costs.exec_idx]
+    return (sequential_sum(costs.seconds[~mask]),
+            sequential_sum(costs.seconds[mask]))
 
 
 # ----------------------------------------------------------------------
@@ -707,39 +664,28 @@ def _event_distributed_step(plan: List[_PlanOp],
     return stats
 
 
-def _policy_signature(policy: KernelPolicy) -> Tuple:
-    out = []
-    for f in dataclasses.fields(policy):
-        value = getattr(policy, f.name)
-        out.append((f.name, getattr(value, "name", value)))
-    return tuple(out)
-
-
 def _scenario_key(scenario: Scenario, engine: Optional[str] = None) -> Tuple:
     # The registry token pins the key to the *current* spec registered
     # under the name: re-registering a calibrated spec bumps the epoch,
     # so estimates computed against the replaced spec can't be replayed.
     # The resolved engine keeps an event-engine check from being served
     # a fast-engine memo (and the reverse).
-    return (scenario.workload, _policy_signature(scenario.policy),
-            scenario.gpu, registry_token(scenario.gpu), scenario.dap_n,
-            scenario.dp_degree, scenario.cuda_graphs, scenario.gc_disabled,
-            scenario.torch_compile, scenario.nonblocking_pipeline,
-            scenario.data_workers, scenario.data_queue_capacity,
-            scenario.n_recycle, scenario.imbalance_enabled, scenario.seed,
-            scenario.ddp_bucket_mb, resolve_engine(engine))
+    values = (getattr(scenario, f.name) for f in dataclasses.fields(scenario))
+    return tuple(_policy_key(v) if isinstance(v, KernelPolicy) else v
+                 for v in values) + (registry_token(scenario.gpu),
+                                     resolve_engine(engine))
 
 
 _ESTIMATE_CACHE = register_cache(LruCache(capacity=256, name="step-estimates"))
 
 #: DAP partitioning + the torch.compile record transform are pure
 #: deterministic functions of (trace identity, DAP degree, compile flag);
-#: the resulting record lists are immutable by convention, so scenarios
-#: sharing a partitioned trace share one list instead of re-partitioning
-#: ~150k records per estimate.  Sized for the optimizer's joint knob
-#: search (policy x DAP x compile combinations alive at once), not just
-#: the 10-rung ladder; entries are full record lists, so the cap stays
-#: moderate.
+#: the resulting record lists (and their shardability masks) are immutable
+#: by convention, so scenarios sharing a partitioned trace share one entry
+#: instead of re-partitioning ~150k records per estimate.  Sized for the
+#: optimizer's joint knob search (policy x DAP x compile combinations
+#: alive at once), not just the 10-rung ladder; entries are full record
+#: lists, so the cap stays moderate.
 _DAP_CACHE = register_cache(LruCache(capacity=32, name="dap-partitions"))
 
 
@@ -748,10 +694,30 @@ def clear_estimate_cache() -> None:
 
 
 def clear_partition_cache() -> None:
-    """Drop cached DAP partitions and the splits/masks derived from them."""
+    """Drop cached DAP partitions (records and shardability masks)."""
     _DAP_CACHE.clear()
-    _SPLIT_CACHE.clear()
-    _SHARD_MASK_CACHE.clear()
+
+
+def _partition(scenario: Scenario, trace: StepTrace
+               ) -> Tuple[List[KernelRecord], np.ndarray]:
+    """One rank's records under ``scenario``'s DAP degree (and the
+    torch.compile transform), with the mask of records in the workload's
+    DAP-shardable scopes."""
+    wl = get_workload(scenario.workload)
+    cfg = wl.full_config(scenario.policy)
+    itemsize = 2 if scenario.policy.dtype.name in ("bf16", "fp16") else 4
+    bundles = wl.dap_comm_bundles(cfg, scenario.dap_n, itemsize,
+                                  scenario.policy.activation_checkpointing)
+    dap = partition_step(trace, scenario.dap_n, cfg, emit_comm_records=True,
+                         shardable_scopes=wl.shardable_scopes,
+                         bundles=bundles)
+    records = dap.records
+    if scenario.torch_compile:
+        records = apply_torch_compile(records)
+    shardable = np.fromiter(
+        (is_shardable(r, wl.shardable_scopes) for r in records),
+        dtype=bool, count=len(records))
+    return records, shardable
 
 
 def estimate_step_time(scenario: Scenario,
@@ -779,62 +745,37 @@ def estimate_step_time(scenario: Scenario,
     trace = trace or build_step_trace(scenario.policy,
                                       n_recycle=scenario.n_recycle,
                                       workload=wl)
-    cfg = wl.full_config(scenario.policy)
 
-    records_id = None
+    records_id = material = None
     if own_trace:
         records_id = ("dap-records",
                       trace_key(scenario.policy, n_recycle=scenario.n_recycle,
                                 workload=wl),
                       scenario.dap_n, scenario.torch_compile)
-
-    def build_partition():
-        itemsize = 2 if scenario.policy.dtype.name in ("bf16", "fp16") else 4
-        bundles = wl.dap_comm_bundles(
-            cfg, scenario.dap_n, itemsize,
-            scenario.policy.activation_checkpointing)
-        dap = partition_step(trace, scenario.dap_n, cfg,
-                             emit_comm_records=True,
-                             shardable_scopes=wl.shardable_scopes,
-                             bundles=bundles)
-        recs = dap.records
-        if scenario.torch_compile:
-            recs = apply_torch_compile(recs)
-        return recs, dap.comm_events, dap.dap_n
-
-    if records_id is not None:
-        records, comm_events, dap_n = _DAP_CACHE.get_or_create(
-            records_id, build_partition)
+        records, shardable = _DAP_CACHE.get_or_create(
+            records_id, lambda: _partition(scenario, trace))
+        # The per-kernel cost arrays depend only on (trace identity, DAP
+        # degree, compile transform, GPU spec, autotune): one evaluation
+        # shared by every scenario over the same partitioned trace — and,
+        # via the on-disk store, by every fresh process.
+        material = cost_cache_material(repr(records_id), gpu, True)
     else:
-        records, comm_events, dap_n = build_partition()
+        records, shardable = _partition(scenario, trace)
 
     # --- kernel level: dispatch vs compute streams, segment marks at every
     # collective position and phase boundary ---
     cost = CostModel(gpu, autotune=True)
-    # The per-kernel cost arrays depend only on (trace identity, DAP degree,
-    # compile transform, GPU, autotune): one evaluation shared by every
-    # scenario over the same partitioned trace — and, via the on-disk store,
-    # by every fresh process.
-    cost_key = None
-    material = None
-    if records_id is not None:
-        cost_key = (records_id, scenario.gpu, registry_token(scenario.gpu))
-        material = cost_cache_material(repr(records_id), gpu, True)
-    # structure_key is the GPU-independent half of cost_key: a GPU change
-    # misses on the cost arrays but re-costs the cached TraceStructure
-    # instead of re-walking the partitioned records.
-    costs = trace_cost_arrays(records, cost, cache_key=cost_key,
-                              store_material=material,
+    # structure_key is the GPU-independent half of the material: a GPU
+    # change misses on the cost arrays but re-costs the cached
+    # TraceStructure instead of re-walking the partitioned records.
+    costs = trace_cost_arrays(records, cost, store_material=material,
                               structure_key=records_id)
     breakdown = simulate_step(records, gpu, cost,
                               graphed=scenario.cuda_graphs,
                               segment_marks=costs.default_marks,
                               costs=costs, engine=engine)
     plan = _build_step_plan(records, breakdown.segments, topo)
-    serial_s, parallel_s = _split_serial_parallel(
-        DapStepTrace(records=records, comm_events=comm_events,
-                     dap_n=dap_n), cost, costs=costs, cache_key=cost_key,
-        scopes=wl.shardable_scopes, mask_key=records_id)
+    serial_s, parallel_s = _split_serial_parallel(costs, shardable)
 
     itemsize = 2 if scenario.policy.dtype.name in ("bf16", "fp16") else 4
     param_bytes = trace.n_params * itemsize
@@ -946,7 +887,7 @@ def estimate_many(scenarios: Sequence[Scenario],
         return [estimate_step_time(s) for s in scenarios]
     seen = set()
     for s in scenarios:
-        warm_key = (s.workload, _policy_signature(s.policy), s.n_recycle)
+        warm_key = (s.workload, _policy_key(s.policy), s.n_recycle)
         if warm_key not in seen:
             seen.add(warm_key)
             # Serial pre-warm exists to keep concurrent misses from

@@ -23,11 +23,13 @@ meta-build time.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+import contextlib
+import gc
+from dataclasses import dataclass, fields
+from typing import Iterator, List, Optional, Tuple, Union
 
 from ..framework import dtypes
+from ..framework.autograd import release_graph
 from ..framework.caching import LruCache, register_cache
 from ..framework.module import meta_build
 from ..framework.tracer import Trace, phase, trace
@@ -55,12 +57,12 @@ class StepTrace:
         return len(self.trace)
 
 
-def _policy_key(policy: KernelPolicy, n_recycle: int,
-                include_optimizer: bool) -> Tuple:
-    return (policy.fused_layernorm, policy.fused_mha, policy.batched_gemm,
-            policy.fused_adam_swa, policy.bucketed_clip,
-            policy.activation_checkpointing, policy.dtype.name, n_recycle,
-            include_optimizer)
+def _policy_key(policy: KernelPolicy, *extra) -> Tuple:
+    """The policy's field values in declaration order (dtypes by name),
+    followed by ``extra`` (the trace key appends ``n_recycle`` and
+    ``include_optimizer``)."""
+    values = (getattr(policy, f.name) for f in fields(policy))
+    return tuple(getattr(v, "name", v) for v in values) + extra
 
 
 def _cfg_key(workload: Workload, cfg) -> Tuple:
@@ -104,6 +106,20 @@ def trace_store_material(key: Tuple) -> str:
 _CACHE = register_cache(LruCache(capacity=8, name="step-traces"))
 
 
+@contextlib.contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Keep the cyclic collector off while a step is meta-executed: every
+    collection it would trigger walks the whole growing autograd graph,
+    which ``release_graph`` then frees by reference counting."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def build_step_trace(policy: Optional[KernelPolicy] = None,
                      n_recycle: int = 1,
                      include_optimizer: bool = True,
@@ -132,22 +148,24 @@ def build_step_trace(policy: Optional[KernelPolicy] = None,
                 _CACHE.put(key, result)
                 return result
 
-    with meta_build():
-        model, loss_fn = wl.build(cfg)
-    if policy.dtype is not dtypes.float32:
-        model.to_dtype(policy.dtype)
-    batch = wl.meta_batch(cfg, dtype=policy.dtype)
-    param_shapes = [p.shape for p in model.parameters()]
+    with _gc_paused():
+        with meta_build():
+            model, loss_fn = wl.build(cfg)
+        if policy.dtype is not dtypes.float32:
+            model.to_dtype(policy.dtype)
+        batch = wl.meta_batch(cfg, dtype=policy.dtype)
+        param_shapes = [p.shape for p in model.parameters()]
 
-    with trace("step") as t:
-        with phase("forward"):
-            loss = wl.call(model, loss_fn, batch, n_recycle=n_recycle)
-        with phase("backward"):
-            loss.backward()
-        if include_optimizer:
-            with phase("update"):
-                emit_update_trace(param_shapes, fused=policy.fused_adam_swa,
-                                  bucketed_clip=policy.bucketed_clip)
+        with trace("step") as t:
+            with phase("forward"):
+                loss = wl.call(model, loss_fn, batch, n_recycle=n_recycle)
+            with phase("backward"):
+                loss.backward()
+            if include_optimizer:
+                with phase("update"):
+                    emit_update_trace(param_shapes, fused=policy.fused_adam_swa,
+                                      bucketed_clip=policy.bucketed_clip)
+        release_graph(loss)
 
     result = StepTrace(trace=t, policy=policy, n_recycle=n_recycle,
                        n_params=model.num_parameters(),
@@ -179,22 +197,6 @@ def trace_is_warm(policy: Optional[KernelPolicy] = None,
     if key in _CACHE:
         return True
     return default_store().has_trace(trace_store_material(key))
-
-
-def build_trace(policy: Optional[KernelPolicy] = None, cfg=None,
-                **kwargs) -> StepTrace:
-    """Deprecated pre-registry entry point (always the alphafold workload).
-
-    .. deprecated::
-        Use :func:`build_step_trace` (optionally with ``workload=...``).
-    """
-    warnings.warn(
-        "trace_builder.build_trace is deprecated; use build_step_trace "
-        "(optionally with workload=...)",
-        DeprecationWarning, stacklevel=2)
-    kwargs.pop("workload", None)
-    return build_step_trace(policy=policy, cfg=cfg, workload="alphafold",
-                            **kwargs)
 
 
 def _from_stored(t: Trace, meta: Optional[dict], policy: KernelPolicy,

@@ -31,9 +31,9 @@ unique ``(family, shape, dtype, flops, bytes)`` signature and scattered
 back (the autotuner is deterministic, so deduplication cannot change a
 value).
 
-Arrays are cached in a bounded LRU keyed by the caller's cache key, and —
-when key material is provided — persisted to the content-addressed
-on-disk store so fresh processes skip the evaluation entirely.  Persisted
+Arrays are cached under their key material (:func:`cost_cache_material`)
+in a bounded LRU and in the content-addressed on-disk store, so fresh
+processes skip the evaluation entirely.  Persisted
 entries carry the structure arrays too (format v2), so a disk hit for one
 GPU still seeds the structure cache for every other GPU.
 """
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -408,11 +408,11 @@ def compute_cost_arrays(records: Sequence[KernelRecord],
 # ----------------------------------------------------------------------
 # Caching front end
 # ----------------------------------------------------------------------
-#: Cost arrays are keyed by (partitioned-trace identity, GPU, autotune).
-#: The optimizer's knob search revisits dozens of (policy, DAP, compile,
-#: GPU) combinations in one process, so the caps are sized for a joint
-#: sweep, not a single ladder (96 entries x ~2 MB of float64 per full
-#: trace).
+#: Cost arrays are keyed by their key material: the partitioned-trace
+#: identity, the full GPU spec and the autotune flag.  The optimizer's
+#: knob search revisits dozens of (policy, DAP, compile, GPU)
+#: combinations in one process, so the caps are sized for a joint sweep,
+#: not a single ladder (96 entries x ~2 MB of float64 per full trace).
 _ARRAY_CACHE = register_cache(LruCache(capacity=96, name="cost-arrays"))
 
 #: Structures are keyed by the partitioned-trace identity alone: every
@@ -434,28 +434,27 @@ def cost_cache_material(trace_material: str, gpu, autotune: bool) -> str:
 
 def trace_cost_arrays(records: Sequence[KernelRecord],
                       cost_model: CostModel,
-                      cache_key: Optional[Tuple] = None,
                       store_material: Optional[str] = None,
                       store: Optional[TraceCacheStore] = None,
                       structure_key: Optional[Hashable] = None
                       ) -> TraceCostArrays:
-    """Cost arrays for ``records``, cached in memory and (optionally) on
-    disk.
+    """Cost arrays for ``records``, cached in memory and on disk.
 
-    ``cache_key`` enables the in-memory LRU; ``store_material`` enables the
-    persistent store; ``structure_key`` (the records identity *without* the
-    GPU/autotune half) enables the shared structure cache, so a cost-array
-    miss that only changed the GPU re-costs the cached structure instead of
-    re-walking the records.  Callers that cannot produce a stable identity
-    (ad hoc record lists) pass none of them and pay one evaluation.
+    ``store_material`` (see :func:`cost_cache_material`) keys both the
+    in-memory LRU and the persistent store: it names everything the costs
+    read, so a spec re-registered under the same GPU name can never be
+    served the old spec's arrays.  ``structure_key`` (the records identity
+    *without* the GPU/autotune half) enables the shared structure cache,
+    so a cost-array miss that only changed the GPU re-costs the cached
+    structure instead of re-walking the records.  Callers that cannot
+    produce a stable identity (ad hoc record lists) pass neither and pay
+    one evaluation.
     """
-    if cache_key is not None:
-        cached = _ARRAY_CACHE.get(cache_key)
-        if cached is not None and cached.n_records == len(records):
-            return cached
-
     arrays: Optional[TraceCostArrays] = None
     if store_material is not None:
+        cached = _ARRAY_CACHE.get(store_material)
+        if cached is not None and cached.n_records == len(records):
+            return cached
         cache_store = store if store is not None else default_store()
         payload = cache_store.get_arrays(store_material)
         if payload is not None:
@@ -476,11 +475,10 @@ def trace_cost_arrays(records: Sequence[KernelRecord],
     if structure_key is not None and arrays.structure is not None \
             and structure_key not in _STRUCTURE_CACHE:
         _STRUCTURE_CACHE.put(structure_key, arrays.structure)
-    if cache_key is not None:
-        _ARRAY_CACHE.put(cache_key, arrays)
-    if fresh and store_material is not None:
-        cache_store = store if store is not None else default_store()
-        cache_store.put_arrays(store_material, arrays.to_arrays())
+    if store_material is not None:
+        _ARRAY_CACHE.put(store_material, arrays)
+        if fresh:
+            cache_store.put_arrays(store_material, arrays.to_arrays())
     return arrays
 
 

@@ -40,6 +40,17 @@ class TestGraph:
         ids = [id(t) for t in order]
         assert ids.index(id(a)) < ids.index(id(b)) < ids.index(id(c))
 
+    def test_release_graph_drops_every_node(self):
+        from repro.framework.autograd import release_graph
+
+        x = Tensor(arr(3), requires_grad=True)
+        hidden = ops.exp(x)
+        loss = ops.sum_(ops.mul(hidden, x))
+        loss.backward()
+        release_graph(loss)
+        assert loss.node is None and hidden.node is None
+        assert x.grad is not None
+
 
 class TestBackward:
     def test_scalar_backward(self):

@@ -118,6 +118,40 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="version"):
             trace_from_string('{"version": 99, "name": "x", "records": 0}\n')
 
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"tunable": "gemm", "shape": ()},
+        {"name": "caf\u00e9 \"q\"\n", "scope": "a/b.0"},
+        {"flops": 3, "bytes": True},
+        {"flops": -0.0, "bytes": 1e300},
+        {"flops": float("nan"), "bytes": float("inf")},
+        {"fused": 1, "shape": (True, 2)},
+        {"tags": {"hidden_by_comm": True}},
+        {"tags": {}},
+    ])
+    def test_row_encoding_matches_json(self, fields):
+        """The spelled-out row equals the generic encoder's, byte for byte,
+        and records it does not spell out fall back to it."""
+        import json
+
+        from repro.framework.tracer import KernelCategory, KernelRecord
+        from repro.framework.trace_io import _record_line, _record_to_dict
+
+        base = dict(name="matmul", category=KernelCategory.MATH,
+                    flops=2.5e9, bytes=1.0e6, shape=(8, 256, 64),
+                    dtype="bf16", scope="evoformer/blocks.3", fused=False,
+                    phase="backward", tunable=None, tags=None)
+        record = KernelRecord(**{**base, **fields})
+        assert _record_line(record) == json.dumps(_record_to_dict(record))
+
+    def test_traced_rows_match_json(self, reference_step_trace):
+        import json
+
+        from repro.framework.trace_io import _record_line, _record_to_dict
+
+        for record in reference_step_trace.trace.records[::97]:
+            assert _record_line(record) == json.dumps(_record_to_dict(record))
+
     def test_costs_survive_roundtrip(self, tmp_path):
         """A loaded trace must produce identical simulated step times."""
         from repro.hardware import A100, CostModel

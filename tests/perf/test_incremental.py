@@ -14,10 +14,12 @@ import dataclasses
 
 import pytest
 
+from repro.distributed.dap import is_shardable
 from repro.framework import dtypes
 from repro.framework.caching import cache_registry
 from repro.framework.trace_io import default_store
 from repro.model.config import KernelPolicy
+from repro.perf import scaling
 from repro.perf.bench import estimates_equal
 from repro.perf.scaling import (Scenario, clear_estimate_cache,
                                 clear_partition_cache, estimate_step_time)
@@ -37,11 +39,13 @@ def _base() -> Scenario:
 
 
 def _delta_counters(base: Scenario, **changes):
-    """Build counts + partition-cache misses incurred by one knob delta.
+    """Build counts + cache misses incurred by one knob delta.
 
     Warms ``base`` from scratch (derived caches cleared first so earlier
     tests cannot pre-seed the segments under measurement), drops only the
     top-level estimate memo, then re-estimates with ``changes`` applied.
+    The shardability walk is counted as ``counters["is_shardable"]``:
+    calls to ``is_shardable`` made by the delta's estimate.
     """
     clear_estimate_cache()
     clear_partition_cache()
@@ -49,11 +53,19 @@ def _delta_counters(base: Scenario, **changes):
     estimate_step_time(base)
     clear_estimate_cache()
     reset_build_counters()
+    calls = [0]
+
+    def counting_is_shardable(*args, **kwargs):
+        calls[0] += 1
+        return is_shardable(*args, **kwargs)
+
     before = {name: st.misses for name, st in cache_registry().items()}
-    estimate_step_time(dataclasses.replace(base, **changes))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scaling, "is_shardable", counting_is_shardable)
+        estimate_step_time(dataclasses.replace(base, **changes))
     after = {name: st.misses for name, st in cache_registry().items()}
     misses = {name: after[name] - before.get(name, 0) for name in after}
-    return build_counters(), misses
+    return dict(build_counters(), is_shardable=calls[0]), misses
 
 
 RANK_DELTAS = [
@@ -71,21 +83,22 @@ class TestPerKnobInvalidation:
         counters, misses = _delta_counters(_base(), **changes)
         assert counters["structure_builds"] == 0
         assert counters["cost_builds"] == 0
+        assert counters["is_shardable"] == 0    # shard mask reused
         assert misses.get("dap-partitions", 0) == 0
-        assert misses.get("shard-masks", 0) == 0
         assert misses.get("step-traces", 0) == 0
 
     def test_gpu_knob_rebuilds_only_the_cost_segment(self):
         counters, misses = _delta_counters(_base(), gpu="A100")
         assert counters["structure_builds"] == 0  # trace walk reused
         assert counters["cost_builds"] == 1       # seconds re-priced
+        assert counters["is_shardable"] == 0      # shard mask reused
         assert misses.get("dap-partitions", 0) == 0
-        assert misses.get("shard-masks", 0) == 0
         assert misses.get("step-traces", 0) == 0
 
     def test_dap_knob_rebuilds_partition_and_below(self):
         counters, misses = _delta_counters(_base(), dap_n=4)
         assert misses.get("dap-partitions", 0) == 1
+        assert counters["is_shardable"] >= 1      # new shard mask
         assert counters["structure_builds"] == 1  # new record stream
         assert counters["cost_builds"] == 1
         assert misses.get("step-traces", 0) == 0  # trace itself reused

@@ -25,3 +25,19 @@ class TestConfigAwareCache:
         # And the full-size trace is untouched by the smaller entry.
         full = build_step_trace(policy)
         assert full.n_kernels > first.n_kernels
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_leaves_the_collector_as_it_found_it(enabled):
+    """The meta build pauses the cyclic collector and restores its state."""
+    import gc
+
+    policy = KernelPolicy.reference()
+    cfg = AlphaFoldConfig.small(policy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        build_step_trace(policy, cfg=cfg, use_cache=False)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

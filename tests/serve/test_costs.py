@@ -79,3 +79,36 @@ class TestPrepSeconds:
         af = prep_seconds("alphafold", 256, seed=0).mean()
         tr = prep_seconds("transformer", 256, seed=0).mean()
         assert af > 50 * tr
+
+
+def test_replaced_spec_is_repriced(monkeypatch):
+    """Re-registering a GPU name with a slower spec re-prices inference
+    instead of serving the old spec's cached forward costs."""
+    import dataclasses
+
+    from repro.framework.trace_io import default_store
+    from repro.hardware.gpu import H100, register_gpu, unregister_gpu
+    from repro.perf.vector_cost import clear_cost_cache
+
+    monkeypatch.setattr(default_store(), "enabled", False)
+    slow = dataclasses.replace(
+        H100, name="SERVE-SLOW",
+        peak_tflops={k: v / 4 for k, v in H100.peak_tflops.items()},
+        mem_bw_gbps=H100.mem_bw_gbps / 4)
+    register_gpu("SERVE-SWAP", dataclasses.replace(H100, name="SERVE-SLOW"))
+    try:
+        before = inference_cost("transformer", preset="small",
+                                gpu="SERVE-SWAP")
+        register_gpu("SERVE-SWAP", slow, replace=True)
+        after = inference_cost("transformer", preset="small",
+                               gpu="SERVE-SWAP")
+        register_gpu("SERVE-SLOW", slow)
+        clear_cost_cache()
+        fresh = inference_cost("transformer", preset="small",
+                               gpu="SERVE-SLOW")
+    finally:
+        unregister_gpu("SERVE-SWAP")
+        unregister_gpu("SERVE-SLOW")
+    assert after.device_s > before.device_s
+    assert after.device_s == fresh.device_s
+    assert after.launch_s == fresh.launch_s
